@@ -8,8 +8,7 @@
 //	for i in 0 1 2 3; do hsmd -provider 127.0.0.1:7000 -id $i & done
 //	# wait for "fleet complete"; then use cmd/safetypin to back up/recover.
 //
-// The daemon speaks wire protocol v2 (context-aware, cancellable) and
-// keeps a v1 net/rpc compat shim on the same port for older clients.
+// The daemon speaks wire protocol v2 (context-aware, cancellable).
 // With -epoch-interval the epoch scheduler also commits pending log
 // insertions on a standing cadence (the paper's 10-minute epochs) even
 // when no client is blocked on WaitForCommit.
@@ -43,13 +42,12 @@ func main() {
 	quorum := flag.Float64("quorum", 0.75, "fraction of fleet that must co-sign epochs")
 	guesses := flag.Int("guess-limit", 1, "recovery attempts allowed per user")
 	scheme := flag.String("scheme", "bls12381-multisig", "aggregate signature scheme (bls12381-multisig | ecdsa-concat)")
-	hashMode := flag.String("hash-mode", "rfc9380", "BLS message-to-G1 hash, adopted fleet-wide at HSM provisioning (rfc9380 | legacy; use legacy for wire compatibility with logs signed by pre-RFC deployments)")
 	det := flag.Bool("deterministic-audit", false, "use Appendix B.3 deterministic chunk assignment")
 	epochMS := flag.Int("epoch-window-ms", 0, "epoch scheduler batching window in ms (0 → default; paper: ~10 minutes)")
 	epochBatch := flag.Int("epoch-max-batch", 0, "commit an epoch early at this many pending insertions (0 → default)")
 	epochWorkers := flag.Int("epoch-workers", 0, "audit fan-out worker pool size (0 → min(16, fleet))")
 	epochInterval := flag.Duration("epoch-interval", 0, "standing epoch cadence (e.g. 10m): commit pending insertions on this timer even with no waiters (0 → disabled)")
-	storageKind := flag.String("storage", "mem", "provider state storage engine (mem | wal | blob); mem loses all state on exit, wal journals to -data-dir with crash recovery on restart")
+	storageKind := flag.String("storage", "mem", "provider state storage engine (mem | wal); mem loses all state on exit, wal journals to -data-dir with crash recovery on restart")
 	dataDir := flag.String("data-dir", "", "directory for the wal engine's journal and snapshots (required with -storage wal)")
 	snapshotEvery := flag.Int("snapshot-every", 0, "compact the journal into a snapshot every N epoch commits (0 → default 8; negative disables)")
 	attemptLimit := flag.Int("attempt-limit", 0, "reject recovery-attempt reservations once a user has burned this many guesses, mirroring the HSM guess limit at the provider (0 → unlimited; typically set equal to -guess-limit)")
@@ -93,7 +91,6 @@ func main() {
 		MinSignerFrac:   *quorum,
 		GuessLimit:      *guesses,
 		SchemeName:      *scheme,
-		HashModeName:    *hashMode,
 		Deterministic:   *det,
 		EpochBatchMS:    *epochMS,
 		EpochMaxBatch:   *epochBatch,
@@ -113,16 +110,8 @@ func main() {
 			log.Fatalf("providerd: opening %s: %v", *dataDir, err)
 		}
 		opts = append(opts, transport.WithStorageEngine(eng))
-	case "blob":
-		// The blob engine shares the wal codec but uploads segments to an
-		// object store; only the in-memory stand-in is wired up here.
-		eng, err := storage.OpenBlob(storage.NewMemBlobStore())
-		if err != nil {
-			log.Fatalf("providerd: blob engine: %v", err)
-		}
-		opts = append(opts, transport.WithStorageEngine(eng))
 	default:
-		log.Fatalf("providerd: unknown -storage %q (mem | wal | blob)", *storageKind)
+		log.Fatalf("providerd: unknown -storage %q (mem | wal)", *storageKind)
 	}
 	if *snapshotEvery != 0 {
 		opts = append(opts, transport.WithSnapshotEvery(*snapshotEvery))
@@ -134,13 +123,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("providerd: %v", err)
 	}
-	ln, addr, err := transport.Serve("Provider", d.Service(), d.WireRegistry(), *listen)
+	ln, addr, err := transport.Serve(d.WireRegistry(), *listen)
 	if err != nil {
 		log.Fatalf("providerd: %v", err)
 	}
 	defer ln.Close()
-	log.Printf("providerd: listening on %s (fleet %d, cluster %d-of-%d, scheme %s, hash %s, wire v2 + v1 shim)",
-		addr, n, th, cl, cfg.SchemeName, cfg.HashModeName)
+	log.Printf("providerd: listening on %s (fleet %d, cluster %d-of-%d, scheme %s, wire v2)",
+		addr, n, th, cl, cfg.SchemeName)
 	if *epochInterval > 0 {
 		log.Printf("providerd: standing epoch timer every %v", *epochInterval)
 	}

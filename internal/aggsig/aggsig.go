@@ -114,23 +114,15 @@ type Scheme interface {
 
 // --- BLS multisignature backend ---
 
-// BLS returns the BLS12-381 multisignature scheme with the default
-// (RFC 9380 constant-time SSWU) message hash.
-func BLS() Scheme { return blsScheme{mode: bls.HashRFC9380} }
+// BLS returns the BLS12-381 multisignature scheme, hashing messages with
+// the RFC 9380 constant-time SSWU construction.
+func BLS() Scheme { return blsScheme{} }
 
-// BLSWithHashMode returns the BLS scheme hashing messages with an explicit
-// mode. bls.HashLegacy selects the pre-standard try-and-increment hash for
-// wire compatibility with logs signed by existing deployments; every signer
-// and verifier in a fleet must use the same mode, which the transport
-// negotiates through the fleet-config handshake.
-func BLSWithHashMode(mode bls.HashMode) Scheme { return blsScheme{mode: mode} }
-
-type blsScheme struct{ mode bls.HashMode }
+type blsScheme struct{}
 
 type blsSigner struct {
-	sk   *bls.SecretKey //spin:secret
-	pk   *bls.PublicKey
-	mode bls.HashMode
+	sk *bls.SecretKey //spin:secret
+	pk *bls.PublicKey
 }
 
 type blsPub struct{ pk *bls.PublicKey }
@@ -142,38 +134,33 @@ type blsPub struct{ pk *bls.PublicKey }
 // rosters serialized by older deployments.
 const blsPubVersion = 0x01
 
-func (s blsScheme) Name() string {
-	if s.mode == bls.HashLegacy {
-		return "bls12381-multisig/legacy-hash"
-	}
-	return "bls12381-multisig"
-}
+func (blsScheme) Name() string { return "bls12381-multisig" }
 
-func (s blsScheme) KeyGen(rng io.Reader) (Signer, error) {
+func (blsScheme) KeyGen(rng io.Reader) (Signer, error) {
 	sk, pk, err := bls.GenerateKey(rng)
 	if err != nil {
 		return nil, err
 	}
-	return &blsSigner{sk: sk, pk: pk, mode: s.mode}, nil
+	return &blsSigner{sk: sk, pk: pk}, nil
 }
 
 // KeyGenBatch creates n signers with one shared batch inversion across all
 // the public-key affine conversions (bls.GenerateKeyBatch); every secret
 // scalar still runs the constant-time comb individually.
-func (s blsScheme) KeyGenBatch(rng io.Reader, n int) ([]Signer, error) {
+func (blsScheme) KeyGenBatch(rng io.Reader, n int) ([]Signer, error) {
 	sks, pks, err := bls.GenerateKeyBatch(rng, n)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]Signer, n)
 	for i := range out {
-		out[i] = &blsSigner{sk: sks[i], pk: pks[i], mode: s.mode}
+		out[i] = &blsSigner{sk: sks[i], pk: pks[i]}
 	}
 	return out, nil
 }
 
 func (s *blsSigner) Sign(msg []byte) ([]byte, error) {
-	return s.sk.SignWithMode(s.mode, msg).Bytes(), nil
+	return s.sk.Sign(msg).Bytes(), nil
 }
 
 func (s *blsSigner) PublicKey() PublicKey { return blsPub{s.pk} }
@@ -266,7 +253,7 @@ func (blsScheme) SubtractKeys(full PublicKey, missing []PublicKey) (PublicKey, e
 
 // VerifyWithKey checks an aggregate signature against a pre-aggregated
 // verification key — the cached-quorum-key fast path of RosterCache.
-func (s blsScheme) VerifyWithKey(apk PublicKey, msg, aggSig []byte) (bool, error) {
+func (blsScheme) VerifyWithKey(apk PublicKey, msg, aggSig []byte) (bool, error) {
 	bp, ok := apk.(blsPub)
 	if !ok {
 		return false, errors.New("aggsig: aggregate is not a BLS key")
@@ -275,7 +262,7 @@ func (s blsScheme) VerifyWithKey(apk PublicKey, msg, aggSig []byte) (bool, error
 	if err != nil {
 		return false, err
 	}
-	return bp.pk.VerifyWithMode(s.mode, msg, sig)
+	return bp.pk.Verify(msg, sig)
 }
 
 // RosterBytes serializes the roster with one shared field inversion across
@@ -306,7 +293,7 @@ func (s blsScheme) VerifyAggregate(pks []PublicKey, msg, aggSig []byte) (bool, e
 	if err != nil {
 		return false, err
 	}
-	return apk.VerifyWithMode(s.mode, msg, sig)
+	return apk.Verify(msg, sig)
 }
 
 func (blsScheme) MeterVerify(m *meter.Meter, numSigners int) {

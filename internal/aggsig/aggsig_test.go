@@ -5,12 +5,11 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"safetypin/internal/bls"
 	"safetypin/internal/meter"
 )
 
 func schemes() []Scheme {
-	return []Scheme{BLS(), BLSWithHashMode(bls.HashLegacy), ECDSAConcat()}
+	return []Scheme{BLS(), ECDSAConcat()}
 }
 
 func TestAggregateRoundTripBothSchemes(t *testing.T) {
@@ -397,6 +396,12 @@ func BenchmarkBLSAggregateVerify16(b *testing.B) {
 
 func BenchmarkECDSAConcatVerify16(b *testing.B) {
 	benchVerify(b, ECDSAConcat(), 16)
+}
+
+func TestBLSSchemeNames(t *testing.T) {
+	if BLS().Name() != "bls12381-multisig" {
+		t.Fatal("default BLS scheme name drifted")
+	}
 }
 
 func benchVerify(b *testing.B, sc Scheme, n int) {

@@ -24,8 +24,8 @@ import (
 //
 // The subtracted quorum key is the exact group element a from-scratch
 // aggregation of the signer subset produces, so serializations are
-// byte-identical; QuorumKeyNaive retains the from-scratch path as the
-// differential oracle.
+// byte-identical; QuorumKeyNaive (rostercache_test.go) runs the
+// from-scratch path as the differential oracle.
 type RosterCache struct {
 	mu     sync.Mutex
 	scheme Scheme
@@ -172,20 +172,6 @@ func (c *RosterCache) QuorumKey(signers []int) (PublicKey, error) {
 		return c.full, nil
 	}
 	return c.sub.SubtractKeys(c.full, missing)
-}
-
-// QuorumKeyNaive aggregates the signer subset from scratch (the full-MSM
-// path): the differential oracle and benchmark baseline for QuorumKey.
-func (c *RosterCache) QuorumKeyNaive(signers []int) (PublicKey, error) {
-	if len(signers) == 0 {
-		return nil, errors.New("aggsig: empty signer set")
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, err := c.missingFrom(signers); err != nil {
-		return nil, err
-	}
-	return c.quorumKeyDirectLocked(signers)
 }
 
 // quorumKeyDirectLocked runs AggregateKeys over the signer subset.

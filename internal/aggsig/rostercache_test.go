@@ -8,9 +8,24 @@ package aggsig
 
 import (
 	"crypto/rand"
+	"errors"
 	mrand "math/rand"
 	"testing"
 )
+
+// QuorumKeyNaive aggregates the signer subset from scratch (the full-MSM
+// path): the differential oracle and benchmark baseline for QuorumKey.
+func (c *RosterCache) QuorumKeyNaive(signers []int) (PublicKey, error) {
+	if len(signers) == 0 {
+		return nil, errors.New("aggsig: empty signer set")
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, err := c.missingFrom(signers); err != nil {
+		return nil, err
+	}
+	return c.quorumKeyDirectLocked(signers)
+}
 
 // rosterKeys generates n BLS roster keys.
 func rosterKeys(tb testing.TB, sc Scheme, n int) []PublicKey {

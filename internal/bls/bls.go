@@ -15,29 +15,12 @@ import (
 // keys. Rogue-key attacks are prevented by proofs of possession, checked
 // once when a public key is registered.
 
-// Domain-separation tags. The v1 tags feed the legacy try-and-increment
-// framing and are frozen (existing logs verify against them); the v2 tags
-// are RFC 9380 DSTs and include the suite ID per §3.1.
+// Domain-separation tags: RFC 9380 DSTs that include the suite ID per
+// §3.1.
 const (
-	sigDomainLegacy = "safetypin/bls/sig/v1"
-	popDomainLegacy = "safetypin/bls/pop/v1"
-	sigDomainRFC    = "safetypin/bls/sig/v2/" + SuiteG1
-	popDomainRFC    = "safetypin/bls/pop/v2/" + SuiteG1
+	sigDomain = "safetypin/bls/sig/v2/" + SuiteG1
+	popDomain = "safetypin/bls/pop/v2/" + SuiteG1
 )
-
-func sigDomain(mode HashMode) string {
-	if mode == HashLegacy {
-		return sigDomainLegacy
-	}
-	return sigDomainRFC
-}
-
-func popDomain(mode HashMode) string {
-	if mode == HashLegacy {
-		return popDomainLegacy
-	}
-	return popDomainRFC
-}
 
 // SecretKey is a BLS signing key.
 type SecretKey struct {
@@ -107,63 +90,40 @@ func GenerateKeyBatch(rng io.Reader, n int) ([]*SecretKey, []*PublicKey, error) 
 	return sks, pks, nil
 }
 
-// Sign signs msg under the default (RFC 9380) hash.
+// Sign signs msg, hashing it onto G1 with the RFC 9380 hash.
 func (sk *SecretKey) Sign(msg []byte) *Signature {
-	return sk.SignWithMode(HashRFC9380, msg)
-}
-
-// SignWithMode signs msg hashing with the given mode. Signer and verifier
-// must agree on the mode — the fleet negotiates it in its configuration
-// handshake.
-func (sk *SecretKey) SignWithMode(mode HashMode, msg []byte) *Signature {
 	// The hashed point is public; the scalar is the long-lived signing key,
 	// so the multiplication runs on the constant-time window walk
 	// (scalarmul_ct.go), not the GLV/wNAF path.
-	return &Signature{p: HashToG1(mode, sigDomain(mode), msg).MulSecret(sk.s)}
+	return &Signature{p: HashToG1(sigDomain, msg).MulSecret(sk.s)}
 }
 
 // Verify checks a (possibly aggregate) signature on msg under pk (possibly
-// an aggregate public key), hashing with the default (RFC 9380) mode.
+// an aggregate public key).
 func (pk *PublicKey) Verify(msg []byte, sig *Signature) (bool, error) {
-	return pk.VerifyWithMode(HashRFC9380, msg, sig)
-}
-
-// VerifyWithMode checks a signature produced by SignWithMode(mode, …).
-func (pk *PublicKey) VerifyWithMode(mode HashMode, msg []byte, sig *Signature) (bool, error) {
 	if sig == nil || sig.p.IsInfinity() || pk.p.IsInfinity() {
 		return false, nil
 	}
 	// e(σ, G2) == e(H(m), pk)  ⇔  e(−σ, G2)·e(H(m), pk) == 1
 	return PairingCheck(
-		[]G1{sig.p.Neg(), HashToG1(mode, sigDomain(mode), msg)},
+		[]G1{sig.p.Neg(), HashToG1(sigDomain, msg)},
 		[]G2{G2Generator(), pk.p},
 	)
 }
 
 // ProvePossession returns a proof of possession for the keypair, which
-// registrars verify to block rogue-key aggregation attacks (default mode).
+// registrars verify to block rogue-key aggregation attacks.
 func (sk *SecretKey) ProvePossession(pk *PublicKey) *Signature {
-	return sk.ProvePossessionWithMode(HashRFC9380, pk)
+	return &Signature{p: HashToG1(popDomain, pk.Bytes()).MulSecret(sk.s)}
 }
 
-// ProvePossessionWithMode is ProvePossession under an explicit hash mode.
-func (sk *SecretKey) ProvePossessionWithMode(mode HashMode, pk *PublicKey) *Signature {
-	return &Signature{p: HashToG1(mode, popDomain(mode), pk.Bytes()).MulSecret(sk.s)}
-}
-
-// VerifyPossession checks a proof of possession for pk (default mode).
+// VerifyPossession checks a proof of possession for pk.
 func VerifyPossession(pk *PublicKey, pop *Signature) (bool, error) {
-	return VerifyPossessionWithMode(HashRFC9380, pk, pop)
-}
-
-// VerifyPossessionWithMode checks a proof of possession under an explicit
-// hash mode.
-func VerifyPossessionWithMode(mode HashMode, pk *PublicKey, pop *Signature) (bool, error) {
 	if pop == nil || pop.p.IsInfinity() || pk.p.IsInfinity() {
 		return false, nil
 	}
 	return PairingCheck(
-		[]G1{pop.p.Neg(), HashToG1(mode, popDomain(mode), pk.Bytes())},
+		[]G1{pop.p.Neg(), HashToG1(popDomain, pk.Bytes())},
 		[]G2{G2Generator(), pk.p},
 	)
 }

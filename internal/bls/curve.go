@@ -1,8 +1,6 @@
 package bls
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -21,8 +19,6 @@ import (
 var (
 	// rOrder is the order of the pairing groups (the scalar field).
 	rOrder = mustBig("73eda753299d7d483339d80809a1d80553bda402fffe5bfeffffffff00000001")
-	// g1CofactorH is the G1 cofactor used to clear torsion when hashing.
-	g1CofactorH = mustBig("396c8c005555e1568c00aaab0000aaab")
 	// pMod is the base-field modulus as a big.Int, kept for tests and
 	// documentation; production field math runs on limbs (fp_limb.go).
 	pMod = mustBig("1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf6730d2a0f6b0f6241eabfffeb153ffffb9feffffffffaaab")
@@ -335,16 +331,10 @@ func (p G1) mulRaw(k *big.Int) G1 {
 
 // InSubgroup reports whether p lies in the order-r subgroup, via the GLV
 // endomorphism test [z²]φ(P) = −P (glv.go) — two 64-bit multiplications
-// instead of the naive 255-bit r-multiplication retained in
-// inSubgroupNaive.
+// instead of the naive 255-bit r-multiplication (inSubgroupNaive, the
+// test oracle).
 func (p G1) InSubgroup() bool {
 	return p.OnCurve() && p.inSubgroupEndo()
-}
-
-// inSubgroupNaive is the retained full-r-multiplication membership test,
-// the differential oracle for inSubgroupEndo.
-func (p G1) inSubgroupNaive() bool {
-	return p.OnCurve() && p.mulRaw(rOrder).IsInfinity()
 }
 
 // --- G2 arithmetic ---
@@ -562,62 +552,10 @@ func (p G2) mulRaw(k *big.Int) G2 {
 
 // InSubgroup reports whether p lies in the order-r subgroup of the twist,
 // via the ψ endomorphism test ψ(P) = [z]P (endomorphism.go) — one 64-bit
-// multiplication instead of the naive 255-bit r-multiplication retained in
-// inSubgroupNaive.
+// multiplication instead of the naive 255-bit r-multiplication
+// (inSubgroupNaive, the test oracle).
 func (p G2) InSubgroup() bool {
 	return p.OnCurve() && p.inSubgroupPsi()
-}
-
-// inSubgroupNaive is the retained full-r-multiplication membership test,
-// the differential oracle for inSubgroupPsi.
-func (p G2) inSubgroupNaive() bool {
-	return p.OnCurve() && p.mulRaw(rOrder).IsInfinity()
-}
-
-// --- hashing to G1 (legacy construction) ---
-
-// hashToG1Legacy maps a message (with domain-separation tag) onto the
-// order-r subgroup of G1 using try-and-increment plus cofactor clearing —
-// the pre-RFC construction this repo shipped with. The construction (and
-// hence every hashed point and signature byte) is identical to the
-// original math/big implementation, pinned by seed_compat_test.go; logs
-// signed by existing deployments verify only under this hash, so it stays
-// reachable through HashToG1(HashLegacy, …). Not constant time; new
-// deployments use the RFC 9380 pipeline in hash2curve.go.
-func hashToG1Legacy(domain string, msg []byte) G1 {
-	for ctr := uint32(0); ; ctr++ {
-		h := sha256.New()
-		h.Write([]byte("BLS12381-H2G1|"))
-		h.Write([]byte(domain))
-		h.Write([]byte{0})
-		var cb [4]byte
-		binary.BigEndian.PutUint32(cb[:], ctr)
-		h.Write(cb[:])
-		h.Write(msg)
-		d1 := h.Sum(nil)
-		h.Reset()
-		h.Write([]byte("ext|"))
-		h.Write(d1)
-		d2 := h.Sum(nil)
-		// 64 bytes → x mod p with negligible bias.
-		var x fe
-		feReduceWide(&x, append(d1, d2...))
-		var rhs, y fe
-		feSquare(&rhs, &x)
-		feMul(&rhs, &rhs, &x)
-		feAdd(&rhs, &rhs, &feB)
-		if !feSqrt(&y, &rhs) {
-			continue // not a quadratic residue; try next counter
-		}
-		if d1[0]&1 == 1 {
-			feNeg(&y, &y)
-		}
-		p := g1FromAffine(x, y).mulRaw(g1CofactorH)
-		if p.IsInfinity() {
-			continue
-		}
-		return p
-	}
 }
 
 // --- encodings ---

@@ -57,8 +57,8 @@
 // AggregatePublicKeys (each round of independent affine additions costs
 // one feInv total), Pippenger bucket-method G1MultiExp/G2MultiExp, and
 // one-inversion roster serialization (G2BatchBytesCompressed). The naive
-// double-and-add (mulRaw) and full r-multiplication membership checks are
-// retained as differential oracles.
+// double-and-add (mulRaw) and, in subgroup_test.go, the full
+// r-multiplication membership checks are kept as differential oracles.
 //
 // # Hashing to G1
 //
@@ -68,17 +68,13 @@
 // E' (sswu.go), the degree-11 isogeny back to E (isogeny.go), and
 // effective-cofactor clearing. The hash layer is branch-free on the data
 // being hashed: selections are CMOV, negations are masked, exponentiations
-// use public exponents. The pre-standard try-and-increment hash remains
-// available as HashLegacy (curve.go) for wire compatibility with logs
-// signed by existing deployments; it is pinned byte for byte by
-// seed_compat_test.go, and fleets negotiate a common HashMode through the
-// transport's fleet-config handshake.
+// use public exponents.
 //
-// Wire formats and (in legacy mode) every signature byte are identical to
-// the original math/big simulator implementation, which is retained in
-// legacy_test.go as a differential oracle; see seed_compat_test.go for the
-// pinned cross-version vectors. Outside the hash layer the field core
-// still takes data-dependent conditional subtractions (feMul/feReduce) —
+// Key and point wire formats are identical to the original math/big
+// simulator implementation, which is retained in legacy_test.go as a
+// differential oracle; see seed_compat_test.go for the pinned
+// cross-version vectors. Outside the hash layer the field core still
+// takes data-dependent conditional subtractions (feMul/feReduce) —
 // acceptable while all signed material (log digests) is public; the full
 // constant-time audit is tracked in ROADMAP.md.
 package bls

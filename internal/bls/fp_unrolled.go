@@ -2,7 +2,7 @@ package bls
 
 // fp_unrolled.go holds the straight-line Fp multiplication and squaring
 // that replaced the looped CIOS/SOS kernels (feMulLoop/feSquareLoop, kept
-// in fp_limb.go as differential oracles). Unrolling the 6-limb loops into
+// in fp_unrolled_test.go as differential oracles). Unrolling the 6-limb loops into
 // explicit carry chains lets the compiler schedule the MULX/ADCX/ADOX-style
 // add-carry pairs instead of reloading loop state every iteration; this
 // kernel sits under every pairing, MSM, and subgroup check, so the win

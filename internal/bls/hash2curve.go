@@ -1,8 +1,7 @@
 package bls
 
 // hash2curve.go implements RFC 9380 hash-to-curve for G1 — the suite
-// BLS12381G1_XMD:SHA-256_SSWU_RO_ — and the HashMode switch that keeps the
-// pre-standard try-and-increment hash available for wire compatibility.
+// BLS12381G1_XMD:SHA-256_SSWU_RO_.
 //
 // The RFC pipeline is
 //
@@ -26,79 +25,19 @@ package bls
 
 import (
 	"crypto/sha256"
-	"fmt"
 	"math/big"
 )
 
-// HashMode selects the message-to-G1 hash construction. The zero value is
-// the RFC 9380 standard hash; deployments with logs signed by pre-RFC
-// binaries pin HashLegacy until the fleet is migrated.
-type HashMode uint8
-
-const (
-	// HashRFC9380 is hash_to_curve from RFC 9380 with the suite
-	// BLS12381G1_XMD:SHA-256_SSWU_RO_: constant-time simplified SWU onto
-	// an 11-isogenous curve plus the isogeny map back. The default.
-	HashRFC9380 HashMode = iota
-	// HashLegacy is the pre-standard try-and-increment hash this repo
-	// shipped with: variable-time, non-standard, but byte-identical to
-	// every signature in logs written by existing deployments.
-	HashLegacy
-)
-
-// Mode names as they appear on daemon flags and in the fleet-config wire
-// handshake.
-const (
-	hashModeRFCName    = "rfc9380"
-	hashModeLegacyName = "legacy"
-)
-
-// String returns the wire/flag name of the mode.
-func (m HashMode) String() string {
-	switch m {
-	case HashRFC9380:
-		return hashModeRFCName
-	case HashLegacy:
-		return hashModeLegacyName
-	default:
-		return fmt.Sprintf("hashmode(%d)", uint8(m))
-	}
-}
-
-// ParseHashMode maps a wire/flag name to a HashMode. The empty string is
-// accepted as HashLegacy: a fleet config that predates the RFC hash comes
-// from a deployment whose every signature used try-and-increment, so the
-// absent field must negotiate the hash those peers actually speak.
-func ParseHashMode(s string) (HashMode, error) {
-	switch s {
-	case hashModeRFCName:
-		return HashRFC9380, nil
-	case "", hashModeLegacyName:
-		return HashLegacy, nil
-	default:
-		return 0, fmt.Errorf("bls: unknown hash mode %q (want %q or %q)", s, hashModeRFCName, hashModeLegacyName)
-	}
-}
-
-// SuiteG1 is the RFC 9380 suite ID implemented by HashRFC9380; callers
+// SuiteG1 is the RFC 9380 suite ID implemented by HashToG1; callers
 // building domain-separation tags should include it, per RFC 9380 §3.1.
 const SuiteG1 = "BLS12381G1_XMD:SHA-256_SSWU_RO_"
 
-// HashToG1 maps a message (under a domain-separation tag) onto the order-r
-// subgroup of G1 using the selected construction. In RFC mode the domain
-// string is used verbatim as the RFC 9380 DST; in legacy mode it feeds the
-// seed implementation's ad-hoc domain framing.
-func HashToG1(mode HashMode, domain string, msg []byte) G1 {
-	if mode == HashLegacy {
-		return hashToG1Legacy(domain, msg)
-	}
-	return hashToG1RFC(domain, msg)
-}
-
-// hashToG1RFC is hash_to_curve for BLS12381G1_XMD:SHA-256_SSWU_RO_.
-func hashToG1RFC(dst string, msg []byte) G1 {
+// HashToG1 maps a message onto the order-r subgroup of G1 with RFC 9380
+// hash_to_curve for BLS12381G1_XMD:SHA-256_SSWU_RO_, using domain verbatim
+// as the DST.
+func HashToG1(domain string, msg []byte) G1 {
 	var u [2]fe
-	hashToFieldFp(u[:], msg, dst)
+	hashToFieldFp(u[:], msg, domain)
 	x0, y0 := mapToCurveSSWU(&u[0])
 	x1, y1 := mapToCurveSSWU(&u[1])
 	ix0, iy0 := isoMapG1(&x0, &y0)

@@ -9,8 +9,7 @@ package bls
 //     isogeny image satisfies E's, and cofactor clearing lands in the
 //     order-r subgroup — a wrong curve parameter or isogeny coefficient
 //     fails these on random inputs independently of the KATs.
-//  3. Differential checks: hash_to_field against a math/big oracle, and
-//     the legacy mode pinned to its seed golden bytes.
+//  3. Differential checks: hash_to_field against a math/big oracle.
 
 import (
 	"bytes"
@@ -132,7 +131,7 @@ func TestSSWUExceptionalCase(t *testing.T) {
 	if !onIsoCurve(&x, &y) {
 		t.Fatal("SSWU(0) not on E'")
 	}
-	if !hashToG1RFC("dst", nil).InSubgroup() {
+	if !HashToG1("dst", nil).InSubgroup() {
 		t.Fatal("hash of empty message broken")
 	}
 }
@@ -175,7 +174,7 @@ var hashToCurveVectors = []struct {
 
 func TestHashToCurveRFCVectors(t *testing.T) {
 	for _, v := range hashToCurveVectors {
-		p := HashToG1(HashRFC9380, rfcDST, []byte(v.msg))
+		p := HashToG1(rfcDST, []byte(v.msg))
 		ax, ay, inf := p.affine()
 		if inf {
 			t.Fatalf("msg %q hashed to infinity", v.msg)
@@ -190,68 +189,6 @@ func TestHashToCurveRFCVectors(t *testing.T) {
 		if !p.InSubgroup() {
 			t.Errorf("msg %q: KAT point not in subgroup", v.msg)
 		}
-	}
-}
-
-// --- legacy golden and cross-mode behavior ---
-
-// TestLegacyHashGolden pins the legacy try-and-increment output so the
-// compat mode stays byte-stable independently of the seed-compat suite.
-func TestLegacyHashGolden(t *testing.T) {
-	got := hex.EncodeToString(HashToG1(HashLegacy, "kat-domain", []byte("kat-message")).Bytes())
-	const want = "04192ba3356717a19206e7f81011d8bbbfe7a4162a1ff5737e34089af781b21521aad60b3e2338c211f51f867382c8ca5d057e0753859d6245c2f16654ee886695bb6a47b13bc72375526230592c4df7919a712be14fceb31e476313b9e4c2eae0"
-	if got != want {
-		t.Fatalf("legacy hash drifted:\n got %s\nwant %s", got, want)
-	}
-}
-
-func TestSignVerifyModes(t *testing.T) {
-	sk, pk, err := GenerateKey(newTestRNG())
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("epoch digest")
-	for _, mode := range []HashMode{HashRFC9380, HashLegacy} {
-		sig := sk.SignWithMode(mode, msg)
-		if ok, err := pk.VerifyWithMode(mode, msg, sig); err != nil || !ok {
-			t.Fatalf("mode %v: valid signature rejected", mode)
-		}
-		other := HashLegacy
-		if mode == HashLegacy {
-			other = HashRFC9380
-		}
-		if ok, _ := pk.VerifyWithMode(other, msg, sig); ok {
-			t.Fatalf("signature in mode %v verified under mode %v", mode, other)
-		}
-		pop := sk.ProvePossessionWithMode(mode, pk)
-		if ok, err := VerifyPossessionWithMode(mode, pk, pop); err != nil || !ok {
-			t.Fatalf("mode %v: valid possession proof rejected", mode)
-		}
-		if ok, _ := VerifyPossessionWithMode(other, pk, pop); ok {
-			t.Fatalf("possession proof in mode %v verified under mode %v", mode, other)
-		}
-	}
-}
-
-func TestParseHashMode(t *testing.T) {
-	cases := []struct {
-		in   string
-		want HashMode
-		ok   bool
-	}{
-		{"rfc9380", HashRFC9380, true},
-		{"legacy", HashLegacy, true},
-		{"", HashLegacy, true}, // absent field in an old fleet config
-		{"bogus", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParseHashMode(c.in)
-		if (err == nil) != c.ok || (err == nil && got != c.want) {
-			t.Errorf("ParseHashMode(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if HashRFC9380.String() != "rfc9380" || HashLegacy.String() != "legacy" {
-		t.Fatal("mode names drifted from the wire vocabulary")
 	}
 }
 
@@ -313,22 +250,10 @@ func TestCTHelpers(t *testing.T) {
 	}
 }
 
-// newTestRNG returns the deterministic stream used by the seed-compat
-// tests, reused here so mode tests are reproducible.
-func newTestRNG() *detRNG { return &detRNG{seed: []byte("hash2curve-mode-test")} }
-
 func BenchmarkHashToG1RFC9380(b *testing.B) {
 	msg := []byte("the shared log-update tuple")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = HashToG1(HashRFC9380, sigDomainRFC, msg)
-	}
-}
-
-func BenchmarkHashToG1Legacy(b *testing.B) {
-	msg := []byte("the shared log-update tuple")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = HashToG1(HashLegacy, sigDomainLegacy, msg)
+		_ = HashToG1(sigDomain, msg)
 	}
 }

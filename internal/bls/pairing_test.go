@@ -168,7 +168,7 @@ func TestPairingCheckMatchesLegacy(t *testing.T) {
 	// not (independent random scalars).
 	for i := 0; i < 2; i++ {
 		s, _ := rand.Int(rand.Reader, rOrder)
-		H := HashToG1(HashRFC9380, "diff-test", []byte{byte(i)})
+		H := HashToG1("diff-test", []byte{byte(i)})
 		sig := H.Mul(s)
 		pk := G2Generator().Mul(s)
 		ps := []G1{sig.Neg(), H}

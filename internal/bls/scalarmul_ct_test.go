@@ -13,7 +13,7 @@ import (
 
 func TestG1MulSecretDifferential(t *testing.T) {
 	g := G1Generator()
-	h := hashToG1Legacy("mulsecret-test", []byte("base"))
+	h := HashToG1("mulsecret-test", []byte("base"))
 	rng := rand.New(rand.NewSource(0x5afe))
 
 	scalars := []*big.Int{
@@ -75,7 +75,7 @@ func TestG1MulSecretInfinity(t *testing.T) {
 // TestSignUsesConstantTimePath pins the signature bytes across the
 // Mul → MulSecret routing change: same key, same message, same bytes.
 func TestSignUsesConstantTimePath(t *testing.T) {
-	g := hashToG1Legacy("sign-ct", []byte("msg"))
+	g := HashToG1(sigDomain, []byte("msg"))
 	k := new(big.Int).SetInt64(0x1234_5678_9abc)
 	if !g.Mul(k).Equal(g.MulSecret(k)) {
 		t.Fatal("CT and vartime scalar multiplication disagree on the signing shape")

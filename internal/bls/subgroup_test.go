@@ -1,16 +1,28 @@
 package bls
 
 // Differential tests for the endomorphism-based subgroup membership checks
-// against the retained full r-multiplication oracle, across the three
-// input classes the checks must separate: genuine subgroup points, points
-// on the curve (torsion-carrying) but outside the order-r subgroup, and
-// invalid encodings.
+// against the full r-multiplication oracle (inSubgroupNaive), across the
+// three input classes the checks must separate: genuine subgroup points,
+// points on the curve (torsion-carrying) but outside the order-r
+// subgroup, and invalid encodings.
 
 import (
 	"crypto/rand"
 	"math/big"
 	"testing"
 )
+
+// inSubgroupNaive is the full-r-multiplication membership test, the
+// differential oracle for inSubgroupEndo.
+func (p G1) inSubgroupNaive() bool {
+	return p.OnCurve() && p.mulRaw(rOrder).IsInfinity()
+}
+
+// inSubgroupNaive is the full-r-multiplication membership test, the
+// differential oracle for inSubgroupPsi.
+func (p G2) inSubgroupNaive() bool {
+	return p.OnCurve() && p.mulRaw(rOrder).IsInfinity()
+}
 
 // offSubgroupG1 finds a curve point outside the order-r subgroup by
 // try-and-increment over x without cofactor clearing (the overwhelming

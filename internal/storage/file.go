@@ -392,3 +392,30 @@ func CorruptTail(path string, n int64) error {
 	_, err = f.WriteAt(buf, start)
 	return err
 }
+
+// parseSnapshot decodes an encoded snapshot file.
+func parseSnapshot(buf []byte) ([]Record, uint64, error) {
+	var meta *snapshotMeta
+	var recs []Record
+	if _, err := scanFrames(buf, func(_ uint64, rec Record) error {
+		if meta == nil {
+			m, ok := rec.(*snapshotMeta)
+			if !ok {
+				return fmt.Errorf("%w: snapshot missing meta record", ErrCorrupt)
+			}
+			if m.Version != snapshotVersion {
+				return fmt.Errorf("storage: snapshot version %d unsupported", m.Version)
+			}
+			meta = m
+			return nil
+		}
+		recs = append(recs, rec)
+		return nil
+	}); err != nil {
+		return nil, 0, err
+	}
+	if meta == nil || int(meta.Count) != len(recs) {
+		return nil, 0, fmt.Errorf("%w: snapshot record count", ErrCorrupt)
+	}
+	return recs, meta.BaseSeq, nil
+}

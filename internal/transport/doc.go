@@ -3,19 +3,14 @@
 // host and its SoloKeys (and the data-center network between clients and
 // the provider).
 //
-// The wire protocol is versioned and negotiated at connect:
-//
-//   - v2 (current) is a framed, context-aware RPC layer (wire.go): a
-//     4-byte magic + 1-byte version handshake, then length-prefixed
-//     frames carrying per-message type tags and gob payloads. Deadlines
-//     and cancellation propagate: a client that cancels a call sends a
-//     cancel frame that aborts the matching server-side handler, and a
-//     dropped connection aborts every in-flight handler on that
-//     connection.
-//   - v1 (legacy) is the stdlib net/rpc gob stream. The server sniffs the
-//     first bytes of each accepted connection and routes v1 clients to a
-//     net/rpc compat shim, so pre-v2 tooling keeps working; golden wire
-//     tests pin both framings.
+// The wire protocol (v2, wire.go) is a framed, context-aware RPC layer:
+// a 4-byte magic + 1-byte version handshake, then length-prefixed frames
+// carrying per-message type tags and gob payloads. Deadlines and
+// cancellation propagate: a client that cancels a call sends a cancel
+// frame that aborts the matching server-side handler, and a dropped
+// connection aborts every in-flight handler on that connection. A
+// connection that does not open with the magic and version 2 is closed;
+// golden wire tests pin the handshake and the frame bytes.
 //
 // Three roles:
 //

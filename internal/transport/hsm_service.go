@@ -97,11 +97,8 @@ func ProvisionHSM(providerAddr string, id int, listenAddr string) (*HSMDaemon, R
 	if err != nil {
 		return nil, RegisterArgs{}, err
 	}
-	// The provider's config is authoritative for the signature scheme and
-	// the BLS hash mode: adopting both here is how a mixed fleet (new
-	// binaries joining a pre-RFC deployment, or vice versa) negotiates a
-	// common message hash for the distributed log.
-	scheme, err := schemeByName(cfg.SchemeName, cfg.HashModeName)
+	// The provider's config is authoritative for the signature scheme.
+	scheme, err := schemeByName(cfg.SchemeName)
 	if err != nil {
 		return nil, RegisterArgs{}, err
 	}
@@ -181,55 +178,7 @@ func (d *HSMDaemon) WireRegistry() *Registry {
 	return reg
 }
 
-// HSMService is the legacy (wire v1) net/rpc surface of an HSM daemon.
-type HSMService struct {
-	d *HSMDaemon
-}
-
-// Service returns the legacy net/rpc receiver.
-func (d *HSMDaemon) Service() *HSMService { return &HSMService{d} }
-
-// Recover serves the recovery protocol (Figure 3, steps Ï–Ð).
-func (s *HSMService) Recover(req protocol.RecoveryRequest, out *RecoverReplyMsg) error {
-	reply, err := s.d.H.HandleRecover(context.Background(), &req)
-	if err != nil {
-		return err
-	}
-	out.Reply = *reply
-	return nil
-}
-
-// InstallRoster installs the fleet signing roster.
-func (s *HSMService) InstallRoster(roster [][]byte, _ *Nothing) error {
-	return s.d.installRoster(roster)
-}
-
-// LogChooseChunks returns this HSM's audit assignment.
-func (s *HSMService) LogChooseChunks(hdr dlog.EpochHeader, out *[]int) error {
-	idx, err := s.d.H.LogChooseChunks(context.Background(), hdr)
-	if err != nil {
-		return err
-	}
-	*out = idx
-	return nil
-}
-
-// LogHandleAudit audits an epoch package.
-func (s *HSMService) LogHandleAudit(pkg AuditPackageMsg, out *[]byte) error {
-	sig, err := s.d.H.LogHandleAudit(context.Background(), &pkg.Pkg)
-	if err != nil {
-		return err
-	}
-	*out = sig
-	return nil
-}
-
-// LogHandleCommit finalizes an epoch.
-func (s *HSMService) LogHandleCommit(cm CommitMsg, _ *Nothing) error {
-	return s.d.H.LogHandleCommit(context.Background(), &cm.CM)
-}
-
-// --- provider-side proxy (wire v2) ---
+// --- provider-side proxy ---
 
 // RemoteHSM implements provider.HSMHandle over the v2 wire protocol: the
 // provider's per-exchange contexts (audit timeouts, relayed client

@@ -8,7 +8,6 @@ import (
 
 	"safetypin/internal/aggsig"
 	"safetypin/internal/bfe"
-	"safetypin/internal/bls"
 	"safetypin/internal/client"
 	"safetypin/internal/dlog"
 	"safetypin/internal/logtree"
@@ -74,7 +73,7 @@ func NewProviderDaemon(cfg FleetConfig, opts ...DaemonOption) (*ProviderDaemon, 
 	for _, o := range opts {
 		o(&dc)
 	}
-	scheme, err := schemeByName(cfg.SchemeName, cfg.HashModeName)
+	scheme, err := schemeByName(cfg.SchemeName)
 	if err != nil {
 		return nil, err
 	}
@@ -161,21 +160,12 @@ func (d *ProviderDaemon) Shutdown(ctx context.Context) error {
 // tooling and tests.
 func (d *ProviderDaemon) Provider() *provider.Provider { return d.p }
 
-// schemeByName builds the fleet's aggregate-signature scheme from the two
-// wire-negotiated names: the scheme family and the BLS message-hash mode
-// (bls.ParseHashMode treats the empty string as "legacy" so fleets
-// provisioned by pre-RFC providers keep verifying their existing logs).
-// The hash mode is validated even for non-BLS schemes, so a typoed
-// -hash-mode fails at startup instead of lying dormant until the scheme
-// is switched.
-func schemeByName(name, hashMode string) (aggsig.Scheme, error) {
-	mode, err := bls.ParseHashMode(hashMode)
-	if err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
-	}
+// schemeByName builds the fleet's aggregate-signature scheme from its
+// wire-negotiated name.
+func schemeByName(name string) (aggsig.Scheme, error) {
 	switch name {
 	case "", "bls12381-multisig":
-		return aggsig.BLSWithHashMode(mode), nil
+		return aggsig.BLS(), nil
 	case "ecdsa-concat":
 		return aggsig.ECDSAConcat(), nil
 	default:
@@ -183,7 +173,7 @@ func schemeByName(name, hashMode string) (aggsig.Scheme, error) {
 	}
 }
 
-// --- daemon-side service logic (shared by both wire versions) ---
+// --- daemon-side service logic ---
 
 func (d *ProviderDaemon) register(args *RegisterArgs) error {
 	if args.ID < 0 || args.ID >= d.cfg.NumHSMs {
@@ -363,170 +353,6 @@ func (d *ProviderDaemon) WireRegistry() *Registry {
 		return &DigestMsg{Digest: d.p.LogDigest()}, nil
 	})
 	return reg
-}
-
-// --- v1 compat shim (legacy net/rpc surface) ---
-
-// ProviderService is the legacy (wire v1) net/rpc surface of the provider
-// daemon, kept so pre-v2 clients still parse: same method names and
-// message shapes as before the protocol was versioned. Handlers run under
-// context.Background() — v1 has no cancellation on the wire.
-type ProviderService struct {
-	d *ProviderDaemon
-}
-
-// Service returns the legacy net/rpc receiver.
-func (d *ProviderDaemon) Service() *ProviderService { return &ProviderService{d} }
-
-// Config hands the fleet configuration to HSM daemons.
-func (s *ProviderService) Config(_ Nothing, out *FleetConfig) error {
-	*out = s.d.cfg
-	return nil
-}
-
-// OracleGet serves an HSM's outsourced block read.
-func (s *ProviderService) OracleGet(args OracleArgs, out *[]byte) error {
-	b, err := s.d.p.OracleFor(args.HSMID).Get(args.Addr)
-	if err != nil {
-		return err
-	}
-	*out = b
-	return nil
-}
-
-// OraclePut serves an HSM's outsourced block write.
-func (s *ProviderService) OraclePut(args OracleArgs, _ *Nothing) error {
-	return s.d.p.OracleFor(args.HSMID).Put(args.Addr, args.Block)
-}
-
-// Register records a provisioned HSM daemon and connects back to it.
-func (s *ProviderService) Register(args RegisterArgs, _ *Nothing) error {
-	return s.d.register(&args)
-}
-
-// Status reports registration progress.
-func (s *ProviderService) Status(_ Nothing, out *FleetStatus) error {
-	*out = s.d.status()
-	return nil
-}
-
-// InstallRosters pushes the complete signing roster to every registered HSM
-// once the fleet is full.
-func (s *ProviderService) InstallRosters(_ Nothing, _ *Nothing) error {
-	return s.d.installRosters(context.Background())
-}
-
-// FetchFleet returns all HSM BFE public keys in fleet order. Clients should
-// verify the digest out of band (§2).
-func (s *ProviderService) FetchFleet(_ Nothing, out *[][]byte) error {
-	keys, err := s.d.fleetKeys()
-	if err != nil {
-		return err
-	}
-	*out = keys
-	return nil
-}
-
-// StoreCiphertext uploads a backup.
-func (s *ProviderService) StoreCiphertext(args StoreCiphertextArgs, _ *Nothing) error {
-	return s.d.p.StoreCiphertext(context.Background(), args.User, args.CT)
-}
-
-// FetchCiphertext downloads the latest backup.
-func (s *ProviderService) FetchCiphertext(user string, out *[]byte) error {
-	b, err := s.d.p.FetchCiphertext(context.Background(), user)
-	if err != nil {
-		return err
-	}
-	*out = b
-	return nil
-}
-
-// AttemptCount returns the next free attempt number.
-func (s *ProviderService) AttemptCount(user string, out *int) error {
-	n, err := s.d.p.AttemptCount(context.Background(), user)
-	if err != nil {
-		return err
-	}
-	*out = n
-	return nil
-}
-
-// ReserveAttempt atomically allocates the next attempt number for a user.
-func (s *ProviderService) ReserveAttempt(user string, out *int) error {
-	n, err := s.d.p.ReserveAttempt(context.Background(), user)
-	if err != nil {
-		return err
-	}
-	*out = n
-	return nil
-}
-
-// LogRecoveryAttempt queues a recovery attempt for the next epoch.
-func (s *ProviderService) LogRecoveryAttempt(args LogAttemptArgs, _ *Nothing) error {
-	return s.d.p.LogRecoveryAttempt(context.Background(), args.User, args.Attempt, args.Commitment)
-}
-
-// RunEpoch forces one log-update epoch across the fleet.
-func (s *ProviderService) RunEpoch(_ Nothing, _ *Nothing) error {
-	return s.d.p.RunEpoch(context.Background())
-}
-
-// WaitForCommit blocks until the caller's pending log insertions commit
-// through the epoch scheduler. net/rpc serves each call on its own
-// goroutine, so concurrent clients share one batched epoch here exactly as
-// they do in process.
-func (s *ProviderService) WaitForCommit(_ Nothing, _ *Nothing) error {
-	return s.d.p.WaitForCommit(context.Background())
-}
-
-// FetchInclusionProof serves a log-inclusion proof.
-func (s *ProviderService) FetchInclusionProof(args InclusionArgs, out *TraceMsg) error {
-	tr, err := s.d.p.FetchInclusionProof(context.Background(), args.User, args.Attempt, args.Commitment)
-	if err != nil {
-		return err
-	}
-	out.Trace = *tr
-	return nil
-}
-
-// RelayRecover forwards a recovery request to its target HSM.
-func (s *ProviderService) RelayRecover(req protocol.RecoveryRequest, out *RecoverReplyMsg) error {
-	reply, err := s.d.p.RelayRecover(context.Background(), &req)
-	if err != nil {
-		return err
-	}
-	out.Reply = *reply
-	return nil
-}
-
-// FetchEscrowedReplies returns the escrowed replies for a user.
-func (s *ProviderService) FetchEscrowedReplies(user string, out *[]protocol.RecoveryReply) error {
-	replies, err := s.d.p.FetchEscrowedReplies(context.Background(), user)
-	if err != nil {
-		return err
-	}
-	for _, r := range replies {
-		*out = append(*out, *r)
-	}
-	return nil
-}
-
-// ClearEscrow drops a user's escrow.
-func (s *ProviderService) ClearEscrow(user string, _ *Nothing) error {
-	return s.d.p.ClearEscrow(context.Background(), user)
-}
-
-// LogEntries exposes the committed log for external auditors.
-func (s *ProviderService) LogEntries(_ Nothing, out *[]logtree.Entry) error {
-	*out = s.d.p.LogEntries()
-	return nil
-}
-
-// LogDigest returns the provider's committed log digest.
-func (s *ProviderService) LogDigest(_ Nothing, out *logtree.Digest) error {
-	*out = s.d.p.LogDigest()
-	return nil
 }
 
 // --- client-side proxy (wire v2) ---

@@ -1,97 +1,74 @@
 package transport
 
 import (
-	"bytes"
-	"fmt"
+	"errors"
 	"io"
 	"net"
-	"net/rpc"
+	"time"
 
 	"safetypin/internal/dlog"
 	"safetypin/internal/logtree"
 	"safetypin/internal/protocol"
 )
 
-// Serve starts a dual-protocol server on addr and returns the listener
-// (close it to stop) plus the bound address. Each accepted connection is
-// sniffed: v2 clients (magic preamble) get the framed context-aware
-// protocol from wire; v1 clients get the net/rpc compat shim around
-// legacy, registered under name. Either may be nil to serve one protocol
-// only.
-func Serve(name string, legacy any, wire *Registry, addr string) (net.Listener, string, error) {
-	var srv *rpc.Server
-	if legacy != nil {
-		srv = rpc.NewServer()
-		if err := srv.RegisterName(name, legacy); err != nil {
-			return nil, "", err
-		}
-	}
+// acceptRetryDelay is how long the accept loop backs off after a
+// transient Accept failure (EMFILE, ECONNABORTED, …) before trying again.
+const acceptRetryDelay = 50 * time.Millisecond
+
+// Serve starts a v2 server for reg on addr and returns the listener
+// (close it to stop) plus the bound address. A connection that does not
+// open with the SPRC magic and version 2 is closed.
+func Serve(reg *Registry, addr string) (net.Listener, string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, "", err
 	}
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			go routeConn(conn, srv, wire)
-		}
-	}()
+	go serve(ln, reg)
 	return ln, ln.Addr().String(), nil
 }
 
-// routeConn sniffs one accepted connection and dispatches it to the
-// protocol version the client speaks.
-func routeConn(conn net.Conn, legacy *rpc.Server, wire *Registry) {
-	var preamble [4]byte
-	if _, err := io.ReadFull(conn, preamble[:]); err != nil {
+// serve is the accept loop. Only a closed listener ends it: any other
+// Accept error is transient, so the loop backs off and keeps accepting
+// instead of leaving an open listener that never answers.
+func serve(ln net.Listener, reg *Registry) {
+	for {
+		conn, err := ln.Accept()
+		if errors.Is(err, net.ErrClosed) {
+			return
+		}
+		if err != nil {
+			time.Sleep(acceptRetryDelay)
+			continue
+		}
+		go routeConn(conn, reg)
+	}
+}
+
+// routeConn runs the v2 handshake on one accepted connection, then hands
+// it to the framed protocol. A client that sends anything but the magic
+// is dropped without a reply; a client offering another version gets the
+// reject byte 0.
+func routeConn(conn net.Conn, reg *Registry) {
+	var magic [len(wireMagic)]byte
+	if _, err := io.ReadFull(conn, magic[:]); err != nil || magic != wireMagic {
 		conn.Close()
 		return
 	}
-	if preamble == wireMagic {
-		var version [1]byte
-		if _, err := io.ReadFull(conn, version[:]); err != nil {
-			conn.Close()
-			return
-		}
-		if wire == nil || version[0] != WireV2 {
-			_, _ = conn.Write([]byte{0}) // reject: unsupported version
-			conn.Close()
-			return
-		}
-		if _, err := conn.Write([]byte{WireV2}); err != nil {
-			conn.Close()
-			return
-		}
-		serveWire(conn, wire)
-		return
-	}
-	if legacy == nil {
+	var version [1]byte
+	if _, err := io.ReadFull(conn, version[:]); err != nil {
 		conn.Close()
 		return
 	}
-	// v1: replay the sniffed bytes into the gob stream.
-	legacy.ServeConn(replayConn{Conn: conn, r: io.MultiReader(bytes.NewReader(preamble[:]), conn)})
-}
-
-// replayConn prepends sniffed bytes back onto a connection's read side.
-type replayConn struct {
-	net.Conn
-	r io.Reader
-}
-
-func (c replayConn) Read(p []byte) (int, error) { return c.r.Read(p) }
-
-// Dial connects a legacy (v1) net/rpc client; kept for compat tooling and
-// the v1 shim tests. New code uses DialWire.
-func Dial(addr string) (*rpc.Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dialing %s: %w", addr, err)
+	if version[0] != WireV2 {
+		_, _ = conn.Write([]byte{0})
+		conn.Close()
+		return
 	}
-	return rpc.NewClient(conn), nil
+	if _, err := conn.Write([]byte{WireV2}); err != nil {
+		conn.Close()
+		return
+	}
+	serveWire(conn, reg)
 }
 
 // --- shared message types ---
@@ -164,15 +141,6 @@ type FleetConfig struct {
 	SchemeName    string // "bls12381-multisig" or "ecdsa-concat"
 	Deterministic bool
 
-	// HashModeName selects the BLS message-to-G1 hash fleet-wide:
-	// "rfc9380" (constant-time SSWU per RFC 9380, the default for new
-	// deployments) or "legacy" (the pre-standard try-and-increment hash).
-	// Every HSM daemon adopts the provider's value at provisioning, so
-	// mixed fleets converge on one hash. The empty string — what a
-	// provider predating this field serves — parses as "legacy", because
-	// such a provider's fleet only ever signed with try-and-increment.
-	HashModeName string
-
 	// Provider-engine tuning (zero values → provider defaults): how long
 	// the epoch scheduler gathers concurrent log insertions, the size
 	// trigger that commits early, the audit fan-out pool width, and the
@@ -210,7 +178,7 @@ type EpochHeaderMsg struct {
 	Hdr dlog.EpochHeader
 }
 
-// RecoverReplyMsg wraps a recovery reply (rpc needs a concrete pointer).
+// RecoverReplyMsg wraps a recovery reply.
 type RecoverReplyMsg struct {
 	Reply protocol.RecoveryReply
 }

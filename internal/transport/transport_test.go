@@ -33,9 +33,8 @@ func testFleetConfig(n int) FleetConfig {
 	}
 }
 
-// startFleet boots a provider daemon and n HSM daemons over loopback TCP
-// (both wire versions served), returning the provider address and a
-// shutdown func.
+// startFleet boots a provider daemon and n HSM daemons over loopback TCP,
+// returning the provider address and a shutdown func.
 func startFleet(t testing.TB, n int) (string, func()) {
 	return startFleetCfg(t, testFleetConfig(n))
 }
@@ -47,7 +46,7 @@ func startFleetCfg(t testing.TB, cfg FleetConfig) (string, func()) {
 		t.Fatal(err)
 	}
 	var listeners []net.Listener
-	pln, paddr, err := Serve("Provider", pd.Service(), pd.WireRegistry(), "127.0.0.1:0")
+	pln, paddr, err := Serve(pd.WireRegistry(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func startFleetCfg(t testing.TB, cfg FleetConfig) (string, func()) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hln, haddr, err := Serve("HSM", hd.Service(), hd.WireRegistry(), "127.0.0.1:0")
+		hln, haddr, err := Serve(hd.WireRegistry(), "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,66 +336,49 @@ func TestTCPResumeRecovery(t *testing.T) {
 	}
 }
 
-// TestTCPHashModeNegotiation boots BLS fleets under each hash-mode config
-// — explicit rfc9380, explicit legacy, and the absent field served by
-// pre-RFC providers — and runs a full backup/recovery. The epoch only
-// commits if every HSM daemon adopted the provider's hash for both signing
-// and aggregate verification, so a completed recovery proves the fleet
-// negotiated a common mode.
-func TestTCPHashModeNegotiation(t *testing.T) {
-	for _, hm := range []string{"rfc9380", "legacy", ""} {
-		name := hm
-		if name == "" {
-			name = "absent-defaults-legacy"
-		}
-		t.Run(name, func(t *testing.T) {
-			cfg := testFleetConfig(4)
-			cfg.SchemeName = "bls12381-multisig"
-			cfg.HashModeName = hm
-			paddr, shutdown := startFleetCfg(t, cfg)
-			defer shutdown()
-			c, rp := newRemoteClient(t, paddr, "hana", "2468")
-			defer rp.Close()
-			msg := []byte("negotiated-hash backup")
-			if err := c.Backup(tctx, msg); err != nil {
-				t.Fatal(err)
-			}
-			got, err := c.Recover(tctx, "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, msg) {
-				t.Fatal("round-trip mismatch")
-			}
-		})
+// TestTCPBLSBackupRecover boots a BLS fleet (testFleetConfig defaults to
+// ECDSA) and runs a full backup/recovery. The epoch only commits if every
+// HSM daemon adopted the provider's scheme for both signing and aggregate
+// verification, so a completed recovery proves the fleet agrees on the
+// RFC 9380 message hash.
+func TestTCPBLSBackupRecover(t *testing.T) {
+	cfg := testFleetConfig(4)
+	cfg.SchemeName = "bls12381-multisig"
+	paddr, shutdown := startFleetCfg(t, cfg)
+	defer shutdown()
+	c, rp := newRemoteClient(t, paddr, "hana", "2468")
+	defer rp.Close()
+	msg := []byte("BLS fleet backup")
+	if err := c.Backup(tctx, msg); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Recover(tctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatal("round-trip mismatch")
 	}
 }
 
 func TestSchemeByName(t *testing.T) {
-	// The default hash for an explicit rfc9380 fleet config.
-	sc, err := schemeByName("bls12381-multisig", "rfc9380")
+	for _, name := range []string{"", "bls12381-multisig"} {
+		sc, err := schemeByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc.Name() != "bls12381-multisig" {
+			t.Fatalf("config %q built %q", name, sc.Name())
+		}
+	}
+	sc, err := schemeByName("ecdsa-concat")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Name() != "bls12381-multisig" {
-		t.Fatalf("rfc9380 config built %q", sc.Name())
+	if sc.Name() != "ecdsa-concat" {
+		t.Fatalf("ecdsa-concat config built %q", sc.Name())
 	}
-	// An absent hash-mode field (pre-RFC provider) must negotiate the
-	// legacy hash — those fleets' logs were signed with try-and-increment.
-	sc, err = schemeByName("", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Name() != "bls12381-multisig/legacy-hash" {
-		t.Fatalf("empty config built %q, want the legacy hash", sc.Name())
-	}
-	if _, err := schemeByName("bls12381-multisig", "legacy"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := schemeByName("nonsense", ""); err == nil {
+	if _, err := schemeByName("nonsense"); err == nil {
 		t.Fatal("unknown scheme accepted")
-	}
-	if _, err := schemeByName("bls12381-multisig", "nonsense"); err == nil {
-		t.Fatal("unknown hash mode accepted")
 	}
 }

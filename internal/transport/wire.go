@@ -1,17 +1,14 @@
 package transport
 
-// wire.go implements the versioned SafetyPin wire protocol (v2): a framed,
-// context-aware RPC layer that replaces the bare net/rpc gob stream (v1)
-// while keeping v1 frames parseable behind a compat shim (see Serve).
+// wire.go implements the SafetyPin wire protocol (v2): a framed,
+// context-aware RPC layer over TCP.
 //
 // # Handshake
 //
-// A v2 client opens with a 5-byte preamble: the 4-byte magic "SPRC"
+// A client opens with a 5-byte preamble: the 4-byte magic "SPRC"
 // followed by one protocol-version byte. The server answers with a single
-// byte — the accepted version, or 0 to reject. A v1 client (stdlib
-// net/rpc) sends no preamble; its first bytes are a gob type descriptor,
-// which cannot collide with the magic, so the server sniffs the first four
-// bytes and routes the connection to the legacy net/rpc server instead.
+// byte — the accepted version, or 0 to reject. A connection whose first
+// four bytes are not the magic is closed without a reply (see Serve).
 //
 // # Frames
 //
@@ -48,16 +45,12 @@ import (
 	"sync"
 )
 
-// wireMagic opens every v2 connection; chosen so it can never be confused
-// with the opening bytes of a v1 (gob) stream.
+// wireMagic opens every connection.
 var wireMagic = [4]byte{'S', 'P', 'R', 'C'}
 
-// Protocol versions. WireV1 is the legacy net/rpc gob stream (no preamble);
-// WireV2 is the framed protocol in this file.
-const (
-	WireV1 byte = 1
-	WireV2 byte = 2
-)
+// WireV2 is the protocol version of the framed protocol in this file, the
+// only one a server accepts.
+const WireV2 byte = 2
 
 // Frame kinds.
 const (
@@ -105,6 +98,9 @@ const wireHeaderLen = 10
 // maxFramePayload bounds a single frame (16 MiB) so a corrupt length
 // prefix cannot allocate unboundedly.
 const maxFramePayload = 16 << 20
+
+// frameAllocStep is the largest payload readFrame allocates up front.
+const frameAllocStep = 64 << 10
 
 // wireReply is the payload of every reply frame.
 type wireReply struct {
@@ -164,8 +160,20 @@ func readFrame(r io.Reader) (kind, msg byte, id uint32, payload []byte, err erro
 		err = fmt.Errorf("transport: frame payload %d exceeds limit", n)
 		return
 	}
-	payload = make([]byte, n)
-	_, err = io.ReadFull(r, payload)
+	if n <= frameAllocStep {
+		payload = make([]byte, n)
+		_, err = io.ReadFull(r, payload)
+		return
+	}
+	// Past one step the buffer grows as bytes arrive instead of trusting
+	// the length prefix: a peer that announces 16 MiB and sends ten bytes
+	// must not cost 16 MiB.
+	var buf bytes.Buffer
+	buf.Grow(frameAllocStep)
+	if _, err = io.CopyN(&buf, r, int64(n)); err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	payload = buf.Bytes()
 	return
 }
 

@@ -1,24 +1,30 @@
 package transport
 
-// wire_test.go pins the versioned wire protocol: golden bytes for the v2
-// handshake and frame layout (so v2 can't silently drift), the v1 net/rpc
-// compat shim (so pre-v2 clients keep parsing), and the cancellation
-// semantics — a client-side deadline aborts the matching server-side
-// handler, and a dropped connection aborts everything in flight.
+// wire_test.go pins the wire protocol: golden bytes for the v2 handshake
+// and frame layout (so v2 can't silently drift), the refusal of clients
+// that do not speak v2, the frame decoder under arbitrary input
+// (FuzzReadFrame), and the cancellation semantics — a client-side
+// deadline aborts the matching server-side handler, and a dropped
+// connection aborts everything in flight.
 
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"net"
-	"net/rpc"
 	"os"
 	"os/exec"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
+
+	"safetypin/internal/protocol"
 )
 
 // --- golden framing ---
@@ -30,7 +36,7 @@ func TestWireGoldenHandshake(t *testing.T) {
 	if got, want := hex.EncodeToString(pre), "5350524302"; got != want {
 		t.Fatalf("v2 preamble drifted: %s want %s", got, want)
 	}
-	if WireV1 != 1 || WireV2 != 2 {
+	if WireV2 != 2 {
 		t.Fatal("protocol version numbering drifted")
 	}
 }
@@ -162,81 +168,204 @@ func TestWireMessageTagsFrozen(t *testing.T) {
 	}
 }
 
-// --- v1 compat shim ---
+// --- handshake refusal and the accept loop ---
 
-// TestWireV1CompatShim: a legacy net/rpc client (the pre-v2 wire format,
-// no preamble) dials the same port a v2 fleet serves on and performs real
-// calls through the sniffing shim.
-func TestWireV1CompatShim(t *testing.T) {
-	paddr, shutdown := startFleet(t, 2)
-	defer shutdown()
+const msgEcho = 0x7d
 
-	legacy, err := rpc.Dial("tcp", paddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
+// echoRegistry serves one handler that returns its argument.
+func echoRegistry() *Registry {
+	reg := NewRegistry()
+	handleWire(reg, msgEcho, func(ctx context.Context, a *BytesReply) (*BytesReply, error) {
+		return a, nil
+	})
+	return reg
+}
 
-	// Store and fetch a ciphertext entirely over v1 frames.
-	if err := legacy.Call("Provider.StoreCiphertext",
-		StoreCiphertextArgs{User: "v1-user", CT: []byte("legacy bytes")}, &Nothing{}); err != nil {
-		t.Fatal(err)
-	}
-	var blob []byte
-	if err := legacy.Call("Provider.FetchCiphertext", "v1-user", &blob); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(blob, []byte("legacy bytes")) {
-		t.Fatalf("v1 round trip corrupted: %q", blob)
-	}
-	var n int
-	if err := legacy.Call("Provider.AttemptCount", "v1-user", &n); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("v1 AttemptCount = %d", n)
-	}
-
-	// A v2 client on the same port sees the v1 client's writes: one state,
-	// two framings.
-	rp, err := DialProvider(paddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rp.Close()
-	got, err := rp.FetchCiphertext(tctx, "v1-user")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, blob) {
-		t.Fatal("v1 and v2 see different state")
+// checkEcho runs one v2 echo call against addr, bounded so that a server
+// that never answers fails the test instead of hanging it.
+func checkEcho(t *testing.T, addr string) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		c, err := DialWire(addr)
+		if err != nil {
+			done <- err
+			return
+		}
+		defer c.Close()
+		var out BytesReply
+		if err := c.Call(tctx, msgEcho, BytesReply{B: []byte("ok")}, &out); err != nil {
+			done <- err
+			return
+		}
+		if !bytes.Equal(out.B, []byte("ok")) {
+			done <- fmt.Errorf("echo returned %q", out.B)
+			return
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("v2 call: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("v2 call never completed")
 	}
 }
 
-// TestWireRejectsUnknownVersion: a client offering a future version gets
-// the reject byte, not a hang.
+// gobRequestHeader is the shape of the request header the standard
+// library's gob RPC client writes before its arguments.
+type gobRequestHeader struct {
+	ServiceMethod string
+	Seq           uint64
+}
+
+// TestWireRejectsUnknownVersion: a client that does not speak v2 is
+// refused without a hang. One offering a future version after the magic
+// gets the reject byte; one opening with a gob RPC request or with any
+// other non-magic bytes has its connection closed and receives nothing.
+// A v2 client on the same listener still works afterwards.
 func TestWireRejectsUnknownVersion(t *testing.T) {
-	reg := NewRegistry()
-	ln, addr, err := Serve("X", nil, reg, "127.0.0.1:0")
+	ln, addr, err := Serve(echoRegistry(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	nc, err := net.Dial("tcp", addr)
+
+	var gobReq bytes.Buffer
+	enc := gob.NewEncoder(&gobReq)
+	if err := enc.Encode(gobRequestHeader{ServiceMethod: "Provider.FetchCiphertext"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode("alice"); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		open  []byte
+		reply []byte // nil: the server must close without writing
+	}{
+		{"future-version", append(append([]byte(nil), wireMagic[:]...), 99), []byte{0}},
+		{"gob-rpc", gobReq.Bytes(), nil},
+		{"non-magic", []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			nc, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer nc.Close()
+			if _, err := nc.Write(tc.open); err != nil {
+				t.Fatal(err)
+			}
+			if err := nc.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(nc)
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatal("server left the connection open")
+			}
+			// A close with unread input may surface as a reset rather than
+			// EOF; either way the client must have read exactly tc.reply.
+			if !bytes.Equal(got, tc.reply) {
+				t.Fatalf("server answered %x, want %x", got, tc.reply)
+			}
+		})
+	}
+	checkEcho(t, addr)
+}
+
+// flakyListener fails its first Accept with a transient (non-closed)
+// error, then delegates to the wrapped listener.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: os.NewSyscallError("accept", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeRetriesTransientAcceptError: an Accept failure other than a
+// closed listener (here EMFILE) must not end the accept loop; the next
+// connection is served, and closing the listener still stops the loop.
+func TestServeRetriesTransientAcceptError(t *testing.T) {
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
-	if _, err := nc.Write(append(append([]byte(nil), wireMagic[:]...), 99)); err != nil {
-		t.Fatal(err)
+	ln := &flakyListener{Listener: inner}
+	stopped := make(chan struct{})
+	go func() {
+		serve(ln, echoRegistry())
+		close(stopped)
+	}()
+	checkEcho(t, inner.Addr().String())
+	if !ln.failed.Load() {
+		t.Fatal("the transient Accept error was never returned")
 	}
-	buf := make([]byte, 1)
-	if _, err := nc.Read(buf); err != nil {
-		t.Fatal(err)
+	ln.Close()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("accept loop outlived its closed listener")
 	}
-	if buf[0] != 0 {
-		t.Fatalf("server accepted unknown version with %d", buf[0])
+}
+
+// TestReadFrameGrowsLargePayloads: a payload past frameAllocStep is read
+// in full, and one whose sender stops short fails as a truncated frame.
+func TestReadFrameGrowsLargePayloads(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xa5}, 3*frameAllocStep+7)
+	frame := appendFrame(nil, frameCall, MsgStoreCiphertext, 5, payload)
+	_, _, _, got, err := readFrame(bytes.NewReader(frame))
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("large frame: err %v, %d of %d payload bytes intact", err, len(got), len(payload))
 	}
+	if _, _, _, _, err := readFrame(bytes.NewReader(frame[:len(frame)-1])); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated large frame returned %v", err)
+	}
+}
+
+// --- frame decoder fuzzing ---
+
+// FuzzReadFrame feeds arbitrary bytes to readFrame, the only decoder that
+// reads straight off the network. A frame it accepts must re-encode to
+// exactly the bytes it consumed, stay within maxFramePayload, and decode
+// into every handler argument type without panicking.
+func FuzzReadFrame(f *testing.F) {
+	for _, name := range []string{"store-call", "fetch-call", "reply", "cancel"} {
+		raw, err := hex.DecodeString(wireGolden[name])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	f.Add([]byte{frameCall, MsgStoreCiphertext, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		kind, msg, id, payload, err := readFrame(r)
+		if err != nil {
+			return
+		}
+		consumed := data[:len(data)-r.Len()]
+		if got := appendFrame(nil, kind, msg, id, payload); !bytes.Equal(got, consumed) {
+			t.Fatalf("frame re-encodes to %x, consumed %x", got, consumed)
+		}
+		if len(payload) > maxFramePayload {
+			t.Fatalf("payload of %d bytes exceeds the frame limit", len(payload))
+		}
+		for _, v := range []any{
+			&StoreCiphertextArgs{}, &UserArg{}, &protocol.RecoveryRequest{},
+			&AuditPackageMsg{}, &CommitMsg{}, &RegisterArgs{}, &OracleArgs{},
+		} {
+			_ = decodeGob(payload, v)
+		}
+	})
 }
 
 // --- cancellation propagation ---
@@ -255,7 +384,7 @@ func testHungService(t *testing.T) (addr string, entered <-chan struct{}, aborte
 		abortedCh <- ctx.Err()
 		return nil, ctx.Err()
 	})
-	ln, addr, err := Serve("X", nil, reg, "127.0.0.1:0")
+	ln, addr, err := Serve(reg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,12 +465,7 @@ func TestWireDisconnectAbortsServerHandlers(t *testing.T) {
 // fails its own call with a descriptive error and leaves the multiplexed
 // connection usable for everyone else.
 func TestWireOversizePayloadScopedToCall(t *testing.T) {
-	const msgEcho = 0x7d
-	reg := NewRegistry()
-	handleWire(reg, msgEcho, func(ctx context.Context, a *BytesReply) (*BytesReply, error) {
-		return a, nil
-	})
-	ln, addr, err := Serve("X", nil, reg, "127.0.0.1:0")
+	ln, addr, err := Serve(echoRegistry(), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +530,7 @@ func TestWireContextErrorsCrossTheWire(t *testing.T) {
 	handleWire(reg, msgCancelled, func(ctx context.Context, _ *Nothing) (*Nothing, error) {
 		return nil, context.Canceled
 	})
-	ln, addr, err := Serve("X", nil, reg, "127.0.0.1:0")
+	ln, addr, err := Serve(reg, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

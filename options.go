@@ -17,7 +17,6 @@ package safetypin
 import (
 	"safetypin/internal/aggsig"
 	"safetypin/internal/bfe"
-	"safetypin/internal/bls"
 	"safetypin/internal/provider"
 	"safetypin/internal/storage"
 )
@@ -90,16 +89,6 @@ func WithGuessLimit(n int) Option {
 // multisignatures; aggsig.ECDSAConcat() is the linear-cost ablation).
 func WithScheme(s aggsig.Scheme) Option {
 	return func(p *Params) { p.Scheme = s }
-}
-
-// WithLegacyBLSHash selects BLS multisignatures over the pre-standard
-// try-and-increment message hash instead of the default RFC 9380
-// constant-time hash — required to verify logs signed by deployments that
-// predate the RFC hash. Equivalent to
-// WithScheme(aggsig.BLSWithHashMode(bls.HashLegacy)); providerd exposes
-// the same switch as -hash-mode=legacy.
-func WithLegacyBLSHash() Option {
-	return func(p *Params) { p.Scheme = aggsig.BLSWithHashMode(bls.HashLegacy) }
 }
 
 // WithDeterministicAudit selects Appendix B.3 chunk assignment.
