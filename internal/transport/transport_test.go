@@ -336,29 +336,31 @@ func TestTCPResumeRecovery(t *testing.T) {
 	}
 }
 
-// TestTCPBLSBackupRecover boots a BLS fleet (testFleetConfig defaults to
-// ECDSA) and runs a full backup/recovery. The epoch only commits if every
-// HSM daemon adopted the provider's scheme for both signing and aggregate
-// verification, so a completed recovery proves the fleet agrees on the
-// RFC 9380 message hash.
-func TestTCPBLSBackupRecover(t *testing.T) {
-	cfg := testFleetConfig(4)
-	cfg.SchemeName = "bls12381-multisig"
-	paddr, shutdown := startFleetCfg(t, cfg)
-	defer shutdown()
-	c, rp := newRemoteClient(t, paddr, "hana", "2468")
-	defer rp.Close()
-	msg := []byte("BLS fleet backup")
-	if err := c.Backup(tctx, msg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Recover(tctx, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("round-trip mismatch")
-	}
+// TestTCPHashModeNegotiation boots a BLS fleet (testFleetConfig defaults to
+// ECDSA) and runs a full backup/recovery. RFC 9380 is the only message hash
+// left, so its row is the only one. The epoch only commits if every HSM
+// daemon adopted the provider's scheme for both signing and aggregate
+// verification, so a completed recovery proves the fleet agrees on the hash.
+func TestTCPHashModeNegotiation(t *testing.T) {
+	t.Run("rfc9380", func(t *testing.T) {
+		cfg := testFleetConfig(4)
+		cfg.SchemeName = "bls12381-multisig"
+		paddr, shutdown := startFleetCfg(t, cfg)
+		defer shutdown()
+		c, rp := newRemoteClient(t, paddr, "hana", "2468")
+		defer rp.Close()
+		msg := []byte("BLS fleet backup")
+		if err := c.Backup(tctx, msg); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Recover(tctx, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatal("round-trip mismatch")
+		}
+	})
 }
 
 func TestSchemeByName(t *testing.T) {
