@@ -8,6 +8,10 @@
 //	                            # fig9, fig10, fig11, fig12, fig13,
 //	                            # table14, bandwidth)
 //	experiments -quick          # reduced sizes (seconds instead of minutes)
+//	experiments -only load -quick
+//	                            # open-loop rate sweep per fleet size and
+//	                            # its saturation knee (mixed backup/
+//	                            # recover/audit traffic, Poisson arrivals)
 //	experiments -only load -rate 100 -duration 5s -out load.json
 //	                            # open-loop load at one offered rate,
 //	                            # machine-readable report to load.json
@@ -30,7 +34,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"safetypin/internal/aggsig"
 	"safetypin/internal/experiments"
@@ -43,11 +46,11 @@ func main() {
 	duration := flag.Duration("duration", 0, "load: open-loop measurement window per rate (default 2s)")
 	outPath := flag.String("out", "", "load/setup/adversary: write the machine-readable report as JSON to this file")
 	pinDist := flag.String("pin-dist", "", "adversary: PIN distribution — skewed (default), uniform, uniform4, or a JSON file path")
-	fleetFlag := flag.String("fleet", "", "load/setup: comma-separated fleet sizes N (e.g. 24,96 or 10000); overrides the experiment defaults")
+	fleetFlag := flag.String("fleet", "", "load/setup: comma-separated fleet sizes N (e.g. 24,96 or 10000); overrides the experiment defaults (load recovers over a min(8, N/2)-HSM cluster, threshold half of it)")
 	users := flag.Int("users", 0, "load: preloaded recover/audit user population (default 32, quick 8)")
 	schemeFlag := flag.String("scheme", "", "load: signature scheme — ecdsa (default) or bls; large fleets need bls, whose per-HSM audit cost is O(1)")
-	bfeM := flag.Int("bfe-m", 0, "load: BFE filter size M per HSM (0 → open-loop default 16384; large fleets want a small explicit filter)")
-	bfeK := flag.Int("bfe-k", 4, "load: BFE hash count K (with -bfe-m)")
+	bfeM := flag.Int("bfe-m", 0, "load/setup: BFE filter size M per HSM (0 → load 16384, setup 256; large load fleets want a small explicit filter)")
+	bfeK := flag.Int("bfe-k", 4, "load/setup: BFE hash count K (with -bfe-m)")
 	flag.Parse()
 
 	fleetOverride, err := parseFleets(*fleetFlag)
@@ -177,9 +180,8 @@ func main() {
 	}
 	if want("load") {
 		ran = true
-		// Open-loop mode (the primary measurement): arrival-rate-controlled
-		// mixed traffic with latency histograms, swept to the saturation
-		// knee per fleet size.
+		// Arrival-rate-controlled mixed traffic with latency histograms,
+		// swept to the saturation knee per fleet size.
 		fleets := []int{24, 96}
 		rates := []float64{25, 50, 100, 200, 400}
 		population := 32
@@ -207,23 +209,15 @@ func main() {
 		}
 		report := experiments.OpenLoopReport{Mode: "poisson"}
 		for _, n := range fleets {
-			cluster := 8
-			if cluster > n/2 {
-				cluster = n / 2
-			}
 			cfg := experiments.OpenLoopConfig{
-				Load: experiments.LoadConfig{
-					NumHSMs:     n,
-					ClusterSize: cluster,
-					Threshold:   cluster / 2,
-					Users:       population,
-					Scheme:      scheme,
-				},
+				NumHSMs:  n,
+				Users:    population,
+				Scheme:   scheme,
 				Duration: *duration,
 				Poisson:  true,
 			}
 			if *bfeM > 0 {
-				cfg.Load.BFE.M, cfg.Load.BFE.K = *bfeM, *bfeK
+				cfg.BFE.M, cfg.BFE.K = *bfeM, *bfeK
 			}
 			results, knee, err := experiments.OpenLoopSweep(cfg, rates)
 			if err != nil {
@@ -250,35 +244,6 @@ func main() {
 				fail("load", err)
 			}
 			fmt.Printf("open-loop report written to %s\n\n", *outPath)
-		}
-
-		// Closed-loop comparison mode (the PR 2 measurement, retained):
-		// fixed virtual-user population, throughput self-throttles under
-		// overload — kept as the contrast that motivates the open loop.
-		// Skipped when -fleet overrides the sweep: a custom fleet list
-		// (e.g. a 10k-HSM smoke) asks for the open-loop number alone.
-		if len(fleetOverride) == 0 {
-			clFleets := []int{24, 48, 96}
-			concs := []int{1, 8, 32}
-			if *quick {
-				clFleets = []int{16, 32}
-				concs = []int{1, 8}
-			}
-			out, err := experiments.LoadSweep(clFleets, concs, population, 2*time.Millisecond)
-			if err != nil {
-				fail("load", err)
-			}
-			fmt.Println(out)
-			cmp, err := experiments.RecoveryLatencyComparison(experiments.LoadConfig{
-				NumHSMs:     64,
-				ClusterSize: 40,
-				Threshold:   20,
-				HSMLatency:  2 * time.Millisecond,
-			})
-			if err != nil {
-				fail("load", err)
-			}
-			fmt.Println(cmp)
 		}
 	}
 	if want("adversary") && *only != "" {

@@ -127,6 +127,41 @@ func TestRequestSharesCancelsLaggards(t *testing.T) {
 	}
 }
 
+// TestRequestAllSharesOverlapsHSMLatency: recovery in the paper's
+// deployment is HSM-latency-bound (a SoloKey spends ~0.85s per recovery
+// op), so the full-drain fan-out Recover uses must wait on the cluster's
+// stalls concurrently, not one after another. Every member stalls, and
+// the fan-out must finish well under the summed stall time, even on a
+// single-core host: the sleeps overlap, the crypto does not.
+func TestRequestAllSharesOverlapsHSMLatency(t *testing.T) {
+	r := newRig(t, 8) // cluster 4, threshold 2
+	const stall = 200 * time.Millisecond
+	c, _ := gatedClient(t, r, "stalled-user", func(int) time.Duration { return stall })
+	if err := c.Backup(tctx, []byte("worth the wait")); err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Begin(tctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster := len(s.Cluster())
+	start := time.Now()
+	if errs := s.RequestAllShares(tctx); len(errs) > 0 {
+		t.Fatalf("fan-out errors: %v", errs)
+	}
+	elapsed := time.Since(start)
+	if bound := time.Duration(cluster) * stall / 2; elapsed >= bound {
+		t.Fatalf("fan-out over %d stalled HSMs took %v, want < %v (stalls ran serially)", cluster, elapsed, bound)
+	}
+	if s.SharesHeld() != cluster {
+		t.Fatalf("held %d shares after full drain, want %d", s.SharesHeld(), cluster)
+	}
+	got, err := s.Finish(tctx)
+	if err != nil || string(got) != "worth the wait" {
+		t.Fatalf("finish: %q %v", got, err)
+	}
+}
+
 // TestRecoverDeadlineWithHungHSM is the acceptance test for the context
 // redesign: every HSM hangs, and a deadline-bounded Recover must return
 // promptly with the deadline error, leaking zero goroutines.

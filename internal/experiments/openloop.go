@@ -1,17 +1,15 @@
 package experiments
 
-// openloop.go is the open-loop (arrival-rate-controlled) load harness.
-// The closed-loop driver in load.go keeps a fixed number of virtual
-// users in flight, so under overload it silently self-throttles: each
-// user waits for its previous operation before issuing the next, and
-// the measured latency stays flat while throughput caps out — the
-// classic coordinated-omission blind spot. The open-loop generator
-// instead schedules arrivals on a fixed or Poisson clock independent of
-// completions, timestamps every operation from its *scheduled* arrival
-// (so generator lag shows up as queueing delay rather than vanishing),
-// and records latencies into HDR-style histograms (histogram.go). A
-// rate sweep then locates the saturation knee: the highest offered rate
-// the deployment sustains with its completion rate within tolerance.
+// openloop.go is the load harness: it measures how many operations per
+// second a deployment sustains, the quantity §9 uses to size a fleet.
+// The generator schedules arrivals on a fixed or Poisson clock
+// independent of completions, timestamps every operation from its
+// *scheduled* arrival (so generator lag shows up as queueing delay rather
+// than vanishing — a closed loop that waits for each operation before
+// issuing the next would hide it: coordinated omission), and records
+// latencies into HDR-style histograms (histogram.go). A rate sweep then
+// locates the saturation knee: the highest offered rate the deployment
+// sustains with its completion rate within tolerance.
 //
 // Traffic is a weighted mix of the three provider-facing operations:
 //   backup  — a fresh virtual user enrolls and stores a ciphertext
@@ -24,7 +22,7 @@ package experiments
 //             monitoring traffic a deployment sees between recoveries
 //
 // The virtual-user pool is unbounded in the open-loop sense: arrivals
-// never wait for a free worker. MaxInFlight only bounds goroutines to
+// never wait for a free worker. maxInFlight only bounds goroutines to
 // keep the harness itself from melting the host; arrivals beyond it are
 // counted as drops, which is itself a saturation signal.
 
@@ -37,49 +35,68 @@ import (
 	"sync"
 	"time"
 
+	"safetypin"
+	"safetypin/internal/aggsig"
 	"safetypin/internal/bfe"
 	"safetypin/internal/client"
-	"safetypin/internal/lhe"
 )
 
-// OpMix weights the traffic mix; weights need not sum to 1.
-type OpMix struct {
-	Backup  float64 `json:"backup"`
-	Recover float64 `json:"recover"`
-	Audit   float64 `json:"audit"`
-}
-
-// OpenLoopConfig parameterizes one open-loop run.
+// OpenLoopConfig parameterizes one open-loop run. Zero fields take the
+// defaults in withDefaults.
 type OpenLoopConfig struct {
-	// Load gives the fleet shape; Load.Users is the preloaded
-	// recover/audit population.
-	Load LoadConfig
+	NumHSMs     int
+	ClusterSize int // 0 → min(8, NumHSMs/2)
+	Threshold   int // 0 → ClusterSize/2
+	BFE         bfe.Params
+	// Users is the preloaded recover/audit population.
+	Users int
+	// Scheme defaults to the cheap ECDSA ablation so the measurement
+	// isolates the system layer rather than pairing time.
+	Scheme aggsig.Scheme
 	// Rate is the offered arrival rate in operations per second.
 	Rate float64
 	// Duration is how long the generator offers load.
 	Duration time.Duration
 	// Poisson draws exponential inter-arrival gaps instead of fixed ones.
 	Poisson bool
-	// Mix weights backup/recover/audit traffic (default 0.2/0.5/0.3).
-	Mix OpMix
 	// Seed fixes the arrival process and target selection.
 	Seed int64
-	// MaxInFlight bounds concurrently executing operations (0 → 1024).
-	// Arrivals past the bound are counted as drops, not queued.
-	MaxInFlight int
 }
 
+// maxInFlight bounds concurrently executing operations. Arrivals past
+// the bound are counted as drops, not queued.
+const maxInFlight = 1024
+
+// Traffic mix: the share of arrivals that back up and that recover; the
+// remaining 0.3 are audit probes.
+const (
+	mixBackup  = 0.2
+	mixRecover = 0.5
+)
+
 func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
-	bfeSet := c.Load.BFE.M != 0
-	c.Load = c.Load.withDefaults()
-	if !bfeSet {
-		// Recover-heavy open-loop runs puncture BFE filters far faster
-		// than the closed-loop defaults anticipate (MaxPunctures = M/2K);
-		// size generously so filter exhaustion doesn't masquerade as
-		// saturation. An explicitly configured Load.BFE is respected:
-		// fleet-scale smokes (N=10000) must cap per-HSM keygen at a small
-		// filter, or construction alone costs N×M point multiplications.
-		c.Load.BFE = bfe.Params{M: 1 << 14, K: 4}
+	if c.NumHSMs == 0 {
+		c.NumHSMs = 24
+	}
+	if c.ClusterSize == 0 {
+		c.ClusterSize = min(8, c.NumHSMs/2)
+	}
+	if c.Threshold == 0 {
+		c.Threshold = c.ClusterSize / 2
+	}
+	if c.BFE.M == 0 {
+		// Recover-heavy runs puncture BFE filters fast (MaxPunctures =
+		// M/2K); size generously so filter exhaustion doesn't masquerade
+		// as saturation. Fleet-scale smokes (N=10000) set a small filter
+		// explicitly, or construction alone costs N×M point
+		// multiplications.
+		c.BFE = bfe.Params{M: 1 << 14, K: 4}
+	}
+	if c.Users == 0 {
+		c.Users = 8
+	}
+	if c.Scheme == nil {
+		c.Scheme = aggsig.ECDSAConcat()
 	}
 	if c.Rate <= 0 {
 		c.Rate = 50
@@ -87,14 +104,8 @@ func (c OpenLoopConfig) withDefaults() OpenLoopConfig {
 	if c.Duration <= 0 {
 		c.Duration = 2 * time.Second
 	}
-	if c.Mix.Backup == 0 && c.Mix.Recover == 0 && c.Mix.Audit == 0 {
-		c.Mix = OpMix{Backup: 0.2, Recover: 0.5, Audit: 0.3}
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 1024
 	}
 	return c
 }
@@ -163,10 +174,8 @@ const (
 // openLoopRun is the mutable state shared by the dispatcher and its
 // operation goroutines.
 type openLoopRun struct {
-	cfg     OpenLoopConfig
-	api     client.Provider
-	lhe     lhe.Params
-	fleet   *bfe.Fleet
+	seed    int64
+	d       *safetypin.Deployment
 	clients []*client.Client
 	busy    []sync.Mutex // per preloaded client: recovery in progress
 
@@ -190,19 +199,19 @@ func (s *openLoopRun) record(op int, lat time.Duration, err error) {
 }
 
 // pickOp draws an operation type from the weighted mix.
-func pickOp(rng *mrand.Rand, m OpMix) int {
-	v := rng.Float64() * (m.Backup + m.Recover + m.Audit)
+func pickOp(rng *mrand.Rand) int {
+	v := rng.Float64()
 	switch {
-	case v < m.Backup:
+	case v < mixBackup:
 		return opBackup
-	case v < m.Backup+m.Recover:
+	case v < mixBackup+mixRecover:
 		return opRecover
 	default:
 		return opAudit
 	}
 }
 
-// OpenLoopRun preloads Load.Users recoverable users, then offers
+// OpenLoopRun preloads Users recoverable users, then offers
 // Rate arrivals/sec of mixed traffic for Duration, never waiting on
 // completions. Latency is measured from each operation's scheduled
 // arrival time, so a generator running behind schedule reports the
@@ -210,25 +219,34 @@ func pickOp(rng *mrand.Rand, m OpMix) int {
 func OpenLoopRun(cfg OpenLoopConfig) (OpenLoopResult, error) {
 	cfg = cfg.withDefaults()
 	buildStart := time.Now()
-	d, clients, err := loadDeployment(cfg.Load)
+	d, err := safetypin.NewDeployment(safetypin.Params{
+		NumHSMs:       cfg.NumHSMs,
+		ClusterSize:   cfg.ClusterSize,
+		Threshold:     cfg.Threshold,
+		BFE:           cfg.BFE,
+		MinSignerFrac: 0.5,
+		GuessLimit:    1 << 20,
+		Scheme:        cfg.Scheme,
+	})
 	if err != nil {
 		return OpenLoopResult{}, err
 	}
+	defer d.Close()
 	construct := time.Since(buildStart)
-	for i, c := range clients {
+	clients := make([]*client.Client, cfg.Users)
+	for i := range clients {
+		c, err := d.NewClient(fmt.Sprintf("load-user-%d", i), "123456")
+		if err != nil {
+			return OpenLoopResult{}, err
+		}
 		if err := c.Backup(context.Background(), []byte(fmt.Sprintf("disk-image-%d", i))); err != nil {
 			return OpenLoopResult{}, fmt.Errorf("preloading user %d: %w", i, err)
 		}
-	}
-	var api client.Provider = d.Provider
-	if cfg.Load.HSMLatency > 0 {
-		api = latencyAPI{Provider: d.Provider, delay: cfg.Load.HSMLatency}
+		clients[i] = c
 	}
 	run := &openLoopRun{
-		cfg:     cfg,
-		api:     api,
-		lhe:     d.LHEParams(),
-		fleet:   d.Fleet(),
+		seed:    cfg.Seed,
+		d:       d,
 		clients: clients,
 		busy:    make([]sync.Mutex, len(clients)),
 		all:     NewHistogram(),
@@ -239,14 +257,14 @@ func OpenLoopRun(cfg OpenLoopConfig) (OpenLoopResult, error) {
 
 	rng := mrand.New(mrand.NewSource(cfg.Seed))
 	res := OpenLoopResult{
-		NumHSMs:          cfg.Load.NumHSMs,
-		ClusterSize:      cfg.Load.ClusterSize,
+		NumHSMs:          cfg.NumHSMs,
+		ClusterSize:      cfg.ClusterSize,
 		Rate:             cfg.Rate,
 		Poisson:          cfg.Poisson,
 		Duration:         cfg.Duration,
 		ConstructSeconds: construct.Seconds(),
 	}
-	inflight := make(chan struct{}, cfg.MaxInFlight)
+	inflight := make(chan struct{}, maxInFlight)
 	var wg sync.WaitGroup
 	var busyCount uint64
 	var busyMu sync.Mutex
@@ -260,7 +278,7 @@ func OpenLoopRun(cfg OpenLoopConfig) (OpenLoopResult, error) {
 			time.Sleep(gap)
 		}
 		res.Offered++
-		op := pickOp(rng, cfg.Mix)
+		op := pickOp(rng)
 		target := rng.Intn(len(clients))
 		seq := backupSeq
 		backupSeq++
@@ -317,8 +335,7 @@ func (s *openLoopRun) execute(op, target, seq int) error {
 	ctx := context.Background()
 	switch op {
 	case opBackup:
-		c, err := client.New(fmt.Sprintf("ol-user-%d-%d", s.cfg.Seed, seq), "123456",
-			s.lhe, s.fleet, s.api)
+		c, err := s.d.NewClient(fmt.Sprintf("ol-user-%d-%d", s.seed, seq), "123456")
 		if err != nil {
 			return err
 		}
@@ -352,11 +369,11 @@ func (s *openLoopRun) execute(op, target, seq int) error {
 		// immediately after a successful recovery.
 		return s.clients[target].Backup(ctx, []byte("open-loop-reenroll"))
 	default: // opAudit
-		user := fmt.Sprintf("load-user-%d", target)
-		if _, err := s.api.FetchCiphertext(ctx, user); err != nil {
+		user := s.clients[target].User()
+		if _, err := s.d.Provider.FetchCiphertext(ctx, user); err != nil {
 			return err
 		}
-		_, err := s.api.AttemptCount(ctx, user)
+		_, err := s.d.Provider.AttemptCount(ctx, user)
 		return err
 	}
 }
@@ -416,18 +433,6 @@ func RenderOpenLoop(results []OpenLoopResult) string {
 			r.NumHSMs, r.Rate, r.CompletedRate, r.Errors, r.Dropped, r.Busy,
 			r.Overall.P50.Round(time.Microsecond), r.Overall.P95.Round(time.Microsecond),
 			r.Overall.P99.Round(time.Microsecond), r.Overall.P999.Round(time.Microsecond))
-	}
-	return b.String()
-}
-
-// OpenLoopCSV renders sweep results as CSV (one row per rate).
-func OpenLoopCSV(results []OpenLoopResult) string {
-	var b strings.Builder
-	b.WriteString("num_hsms,offered_rate,completed_rate,errors,dropped,busy,p50_ns,p95_ns,p99_ns,p999_ns,max_ns\n")
-	for _, r := range results {
-		fmt.Fprintf(&b, "%d,%.2f,%.2f,%d,%d,%d,%d,%d,%d,%d,%d\n",
-			r.NumHSMs, r.Rate, r.CompletedRate, r.Errors, r.Dropped, r.Busy,
-			r.Overall.P50, r.Overall.P95, r.Overall.P99, r.Overall.P999, r.Overall.Max)
 	}
 	return b.String()
 }

@@ -87,7 +87,7 @@ func TestOpenLoopSmoke(t *testing.T) {
 		t.Skip("open-loop run takes a couple of wall-clock seconds")
 	}
 	cfg := OpenLoopConfig{
-		Load:     LoadConfig{NumHSMs: 6, ClusterSize: 4, Threshold: 2, Users: 6},
+		NumHSMs: 6, ClusterSize: 4, Threshold: 2, Users: 6,
 		Rate:     40,
 		Duration: 1500 * time.Millisecond,
 		Poisson:  true,
@@ -125,10 +125,6 @@ func TestOpenLoopSmoke(t *testing.T) {
 	if !strings.Contains(table, "p99") {
 		t.Fatal("table missing quantile header")
 	}
-	csv := OpenLoopCSV([]OpenLoopResult{res})
-	if len(strings.Split(strings.TrimSpace(csv), "\n")) != 2 {
-		t.Fatal("CSV should have header + one row")
-	}
 	rep := OpenLoopReport{Mode: "poisson", Fleets: []OpenLoopFleetReport{{NumHSMs: 6, Sweep: []OpenLoopResult{res}}}}
 	blob, err := rep.JSON()
 	if err != nil {
@@ -149,7 +145,7 @@ func TestOpenLoopSmoke(t *testing.T) {
 // gross regressions (setup blow-ups, drain hangs), which is the point.
 func BenchmarkOpenLoopSmoke(b *testing.B) {
 	cfg := OpenLoopConfig{
-		Load:     LoadConfig{NumHSMs: 6, ClusterSize: 4, Threshold: 2, Users: 4},
+		NumHSMs: 6, ClusterSize: 4, Threshold: 2, Users: 4,
 		Rate:     50,
 		Duration: 500 * time.Millisecond,
 		Seed:     11,
@@ -165,7 +161,7 @@ func BenchmarkOpenLoopSmoke(b *testing.B) {
 	}
 }
 
-// TestOpenLoopDeterministicArrivals pins the open-loop property the
+// TestOpenLoopArrivalAccounting pins the open-loop property the
 // harness exists for: the arrival schedule depends only on rate and
 // seed, never on completions, so two runs at the same rate offer the
 // same arrival count even though service times differ.
@@ -174,7 +170,7 @@ func TestOpenLoopArrivalAccounting(t *testing.T) {
 		t.Skip("open-loop run takes wall-clock time")
 	}
 	cfg := OpenLoopConfig{
-		Load:     LoadConfig{NumHSMs: 6, ClusterSize: 4, Threshold: 2, Users: 4},
+		NumHSMs: 6, ClusterSize: 4, Threshold: 2, Users: 4,
 		Rate:     30,
 		Duration: time.Second,
 		Seed:     3,

@@ -32,12 +32,12 @@
 //	d, err := safetypin.New(
 //		safetypin.WithFleet(96),
 //		safetypin.WithGuessLimit(5),
-//		safetypin.WithEngine(provider.EngineConfig{EpochInterval: 10 * time.Minute}),
+//		safetypin.WithStorage(eng),
 //	)
 //
 // The Params struct remains the documented escape hatch for programmatic
-// configuration: NewDeployment(Params{...}) behaves exactly as before,
-// and WithParams bridges the two styles.
+// configuration: NewDeployment(Params{...}) sets every field, including
+// the provider's EngineConfig, which no option covers.
 //
 // # The service API: contexts, roles, sessions
 //
@@ -97,11 +97,11 @@
 //     independently, so one HSM serves audit and recovery traffic
 //     concurrently.
 //
-// WithEngine / Params.Engine tunes all of this; the TCP transport exposes
-// the same engine through providerd's -epoch-window-ms/-epoch-max-batch/
-// -epoch-workers/-epoch-interval flags. The multi-user load experiment
-// (internal/experiments/load.go, `experiments -only load`) measures
-// recoveries/sec against fleet size and concurrency.
+// Params.Engine tunes all of this; the TCP transport exposes the same
+// engine through providerd's -epoch-window-ms/-epoch-max-batch/
+// -epoch-workers/-epoch-interval flags. The open-loop load experiment
+// (internal/experiments/openloop.go, `experiments -only load`) measures
+// the operations/sec a fleet sustains at each offered rate.
 package safetypin
 
 import (
